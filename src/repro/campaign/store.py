@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError
+from repro.state.snapshot import atomic_write
 
 #: Per-record fields that legitimately differ between runs (wall-clock
 #: timings, worker identity) and are excluded from the canonical view.
@@ -67,8 +68,10 @@ class ResultStore:
             self._records[key] = record
             kept.append(line)
         if dropped:
-            # Compact away the torn lines so the file is clean JSONL again.
-            self.path.write_text("".join(line + "\n" for line in kept))
+            # Compact away the torn lines so the file is clean JSONL
+            # again; a kill mid-rewrite leaves the old file in place.
+            with atomic_write(self.path, "w") as fh:
+                fh.write("".join(line + "\n" for line in kept))
 
     def append(self, record: Dict[str, Any]) -> None:
         """Add one completed point and flush it to disk immediately."""

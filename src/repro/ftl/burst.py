@@ -35,10 +35,9 @@ owned arrays, so a cached replay re-runs the *same* commit the fresh
 path runs — bit identity between fresh and replayed windows holds by
 construction, not by a separate code path.
 
-The walk itself has two interchangeable implementations: the inline
-Python loop below (default — ``heapq`` and list mirrors are the fastest
-CPython form) and the array transcription in :mod:`repro.ftl.kernels`
-selected by ``REPRO_KERNEL=numba``, which numba can JIT.
+The walk is one Python loop (:func:`_walk`) over ``heapq`` and list
+mirrors, the fastest CPython form; the apply is one set of numpy
+scatters.
 
 Bit identity with the scalar path is the contract: every mirrored float
 uses the same IEEE-754 operations on the same values, victim order is
@@ -56,7 +55,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.ftl import kernels, plancache
+from repro.ftl import plancache
 from repro.ftl.gc import GreedyVictimPolicy
 from repro.ftl.plancache import BurstPlan
 
@@ -264,13 +263,7 @@ def plan_write_burst(
     # prefix the plan cache needs to validate budget-matched replays.
     # ------------------------------------------------------------------
     def _do_walk(ng):
-        if kernels.walk_selected():
-            return _kernel_walk(
-                ftl, pkg, segments, seg_lens, ng, stop_erases, ext_t,
-                exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-                never_cap, low, high, cfg, L, upb,
-            )
-        return _inline_walk(
+        return _walk(
             ftl, pkg, segments, seg_lens, ng, stop_erases, ext_t,
             exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
             never_cap, low, high, cfg,
@@ -370,13 +363,13 @@ def plan_write_burst(
     )
 
 
-def _inline_walk(
+def _walk(
     ftl, pkg, segments, seg_lens, num_groups, stop_erases, ext_t,
     exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
     never_cap, low, high, cfg,
 ):
-    """Reference walk: heapq + Python-scalar mirrors of every structure
-    the plan mutates.  Float arithmetic on list elements is bit-identical
+    """The walk: heapq + Python-scalar mirrors of every structure the
+    plan mutates.  Float arithmetic on list elements is bit-identical
     to the numpy float64 scalar ops of the real path.  The GC mirror
     (plan_reclaim: clean-path victim selection + erase wear arithmetic)
     and the free-block pull (pop_free: FIFO, or the least-worn scan
@@ -605,91 +598,6 @@ def _inline_walk(
     )
 
 
-def _kernel_walk(
-    ftl, pkg, segments, seg_lens, num_groups, stop_erases, ext_t,
-    exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-    never_cap, low, high, cfg, L, upb,
-):
-    """Array-walk front end: marshal the mirrors into the fixed arrays
-    :mod:`repro.ftl.kernels` operates on, run the (possibly jitted)
-    walk, and translate its outputs back into the finalize inputs."""
-    n_blocks = ftl._num_blocks
-    seg_lens_a = np.array(seg_lens, dtype=np.int64)
-    seg_groups_a = np.array([s.group for s in segments], dtype=np.int64)
-    if exhaust_pos:
-        pend_blk = np.fromiter(exhaust_pos.keys(), dtype=np.int64, count=len(exhaust_pos))
-        pend_ev = np.fromiter(exhaust_pos.values(), dtype=np.int64, count=len(exhaust_pos))
-    else:
-        pend_blk = np.empty(0, dtype=np.int64)
-        pend_ev = np.empty(0, dtype=np.int64)
-    cand = np.nonzero(cof0 == 0)[0].astype(np.int64)
-    perm = pkg._pe_permanent.astype(np.float64, copy=True)
-    reco = pkg._pe_recoverable.astype(np.float64, copy=True)
-    eff = pe0.astype(np.float64, copy=True)
-    lim = pkg._cycle_limit.astype(np.float64, copy=True)
-    bad = np.ascontiguousarray(pkg.bad_blocks_view, dtype=np.uint8)
-    free0 = list(ftl._free_blocks)
-    free_arr = np.empty(n_blocks + 1, dtype=np.int64)
-    if free0:
-        free_arr[: len(free0)] = free0
-    vcap = L // upb + n_blocks + high + 16
-    victims = np.empty(vcap, dtype=np.int64)
-    alive_ext_of = np.full(n_blocks, -1, dtype=np.int64)
-    closed_flag = np.zeros(n_blocks, dtype=np.uint8)
-    prefix = np.zeros(num_groups, dtype=np.int64)
-    hcap = vcap + n_blocks + 16
-    heap_k = np.empty(hcap, dtype=np.float64)
-    heap_b = np.empty(hcap, dtype=np.int64)
-    pheap_e = np.empty(hcap, dtype=np.int64)
-    pheap_b = np.empty(hcap, dtype=np.int64)
-    frac = pkg.healing.recoverable_fraction
-    res = kernels.run_walk((
-        seg_lens_a, seg_groups_a, ext_t.astype(np.int64),
-        pend_ev, pend_blk, cand,
-        perm, reco, eff, lim, bad, free_arr, len(free0),
-        victims, alive_ext_of, closed_flag, prefix,
-        heap_k, heap_b, pheap_e, pheap_b,
-        upb, low, high, num_groups,
-        stop_erases is not None,
-        stop_erases if stop_erases is not None else 0,
-        active0 if active0 is not None else -1, a0,
-        bool(b0_pre), b0_extra, never_cap,
-        ftl._erases_since_wl_check,
-        cfg.static_check_interval, cfg.static_delta_threshold,
-        bool(cfg.dynamic), bool(cfg.static_enabled),
-        frac, 1.0 - frac, _SCORE_GUARD,
-    ))
-    status, n_erased, m, C, wl_ctr, active_f, aoff_f, nf, nv = res
-    if status == 3:
-        # Retirement crossing: the bailing group rides in the m slot.
-        return int(m)
-    if status != 0:
-        return None
-    if nv:
-        vic_u = np.unique(victims[:nv])
-        vic_perm = perm[vic_u]
-        vic_reco = reco[vic_u]
-        vic_eff = eff[vic_u]
-    else:
-        vic_u = np.empty(0, dtype=np.int64)
-        vic_perm = np.empty(0)
-        vic_reco = np.empty(0)
-        vic_eff = np.empty(0)
-    a_blocks = np.nonzero(alive_ext_of >= 0)[0]
-    ks = alive_ext_of[a_blocks]
-    cb_arr = np.nonzero(closed_flag)[0]
-    cb = cb_arr if cb_arr.size else None
-    active = int(active_f) if active_f >= 0 else None
-    seg_cut = int(np.searchsorted(seg_groups_a, m))
-    return (
-        vic_u, vic_perm, vic_reco, vic_eff, int(n_erased),
-        a_blocks, ks, cb,
-        tuple(int(b) for b in free_arr[:nf]),
-        active, int(aoff_f), int(wl_ctr),
-        int(m), int(C), [int(x) for x in prefix[:m]], seg_cut,
-    )
-
-
 def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     """Commit a finalized plan's end state in vectorized passes.
 
@@ -718,10 +626,6 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     counters.page_programs += plan.units_executed * ftl.unit_pages
     counters.page_reads += plan.rmw_pages
     ftl._erases_since_wl_check = plan.wl_ctr_final
-
-    if kernels.apply_selected():
-        _kernel_commit(ftl, plan)
-        return
 
     valid = ftl._valid
     vcount = ftl._valid_count
@@ -786,35 +690,3 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
             if lowest < hint:
                 hint = lowest
         queue._min_hint = hint
-
-
-def _kernel_commit(ftl, plan: BurstPlan) -> None:
-    """Kernel front end for the apply phase: marshal the plan's arrays
-    into :func:`repro.ftl.kernels.run_apply` and replay the few scalar
-    effects (erase counter, running wear max, free list, queue summary)
-    the fused loop reports back.  Commits the same values as the numpy
-    scatters in :func:`commit_planned_burst` — the kernel transcribes
-    them, it does not re-derive anything."""
-    pkg = ftl.package
-    queue = ftl._gc_queue
-    n_erased = plan.n_erased
-    empty = np.empty(0, dtype=np.int64)
-    cb = plan.cb if plan.cb is not None else empty
-    hb = plan.hb if plan.hb is not None else empty
-    hint, tracked, top = kernels.run_apply((
-        ftl._l2p, ftl._p2l, ftl._valid, ftl._valid_count, ftl._closed,
-        queue._count_of, pkg._pe_permanent, pkg._pe_recoverable,
-        pkg._pe_cache, plan.old_exec, plan.vic_u, plan.vic_perm,
-        plan.vic_reco, plan.vic_eff, plan.a_blocks, plan.red,
-        plan.ppus, plan.su, plan.sv, cb, hb,
-        ftl.units_per_block, n_erased, queue._min_hint,
-        pkg._pe_cache_valid, pkg._pe_max, pkg._pe_max_valid,
-    ))
-    pkg.counters.block_erases += n_erased
-    if pkg._pe_max_valid:
-        pkg._pe_max = float(top)
-    ftl._free_blocks[:] = plan.free_final
-    ftl._active_block = plan.active_final
-    ftl._active_offset = plan.aoff_final
-    queue._tracked = int(tracked)
-    queue._min_hint = int(hint)

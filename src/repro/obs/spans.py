@@ -1,4 +1,4 @@
-"""Wall-clock span telemetry (migrated from ``repro.core.tracing``).
+"""Wall-clock span telemetry.
 
 Spans time *real* elapsed seconds, never simulated time: the campaign
 runner wraps every experiment point and the campaign itself in one, and

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -38,6 +39,12 @@ from repro.state.snapshot import (
     load_state,
     save_state,
     snapshot_experiment,
+)
+
+#: What reading a torn or corrupt ``.npz`` may raise: a damaged zip
+#: directory, a bad CRC, a broken deflate stream, or garbled metadata.
+_UNREADABLE = (
+    OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError, zlib.error,
 )
 
 #: PointSpec fields excluded from the warm key: they select how far the
@@ -113,7 +120,7 @@ class CheckpointManager:
         for path in self.candidates(key):
             try:
                 meta = load_meta(path)
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError):
+            except _UNREADABLE:
                 continue
             if meta.get("version") != STATE_FORMAT_VERSION:
                 continue
@@ -124,7 +131,7 @@ class CheckpointManager:
         for _, path in sorted(ranked, reverse=True):
             try:
                 return load_state(path)
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError):
+            except _UNREADABLE:
                 continue
         return None
 

@@ -33,12 +33,13 @@ A snapshot is a nested dict of JSON-able scalars and numpy arrays;
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import IO, Any, Dict, Iterator, Union
 
 import numpy as np
 
@@ -405,6 +406,28 @@ def _split_arrays(node: Any, path: str, arrays: Dict[str, np.ndarray]) -> Any:
     return node
 
 
+@contextlib.contextmanager
+def atomic_write(path: Path, mode: str) -> Iterator[IO]:
+    """Write ``path`` all at once or not at all.
+
+    Yields a temp file opened with ``mode`` in ``path``'s directory; a
+    clean exit renames it over ``path`` with one ``os.replace``, and
+    any exception removes it, leaving ``path`` as it was.  Readers, a
+    concurrent writer included, never see a torn file.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def save_state(path: Union[str, Path], state: Dict[str, Any]) -> Path:
     """Persist a snapshot as one compressed ``.npz``, atomically.
 
@@ -418,17 +441,8 @@ def save_state(path: Union[str, Path], state: Dict[str, Any]) -> Path:
     arrays: Dict[str, np.ndarray] = {}
     meta = _split_arrays(state, "", arrays)
     payload = {_ARRAY_PREFIX + key: value for key, value in arrays.items()}
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **{_META_KEY: json.dumps(meta)}, **payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "wb") as fh:
+        np.savez_compressed(fh, **{_META_KEY: json.dumps(meta)}, **payload)
     return path
 
 
@@ -480,6 +494,7 @@ def inspect_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
 __all__ = [
     "STATE_FORMAT_VERSION",
     "CheckpointError",
+    "atomic_write",
     "capture_device",
     "capture_filesystem",
     "capture_ftl",

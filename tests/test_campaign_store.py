@@ -1,5 +1,6 @@
 """Tests for the resumable JSON-lines result store."""
 
+import io
 import json
 
 import pytest
@@ -52,6 +53,49 @@ class TestPersistence:
         reloaded.append(record("cc", 3))
         lines = path.read_text().splitlines()
         assert [json.loads(l)["key"] for l in lines] == ["aa", "cc"]
+
+    def test_failed_compaction_keeps_original_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.append(record("aa", 1))
+        store.append(record("bb", 2))
+        with path.open("a") as fh:
+            fh.write('{"key": "cc", "result": {"va')
+        original = path.read_bytes()
+
+        real_open = io.open
+
+        class TornWriter:
+            """Writes the first half of the data, then fails (a kill or
+            a full disk in the middle of the rewrite)."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornWriter(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(io, "open", torn_open)
+        with pytest.raises(OSError, match="disk full"):
+            ResultStore(path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.jsonl"]
+        reloaded = ResultStore(path)
+        assert sorted(reloaded.completed_keys()) == ["aa", "bb"]
 
     def test_invalidate_deletes_file(self, tmp_path):
         path = tmp_path / "store.jsonl"

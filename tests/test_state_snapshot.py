@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -292,6 +294,39 @@ class TestCheckpointManager:
         (tmp_path / "k0-s999999999.npz").write_bytes(b"not a zipfile")
         state = manager.best("k0", until_level=3)
         assert state is not None and state["last_levels"] == {"A": 2}
+
+    @staticmethod
+    def _break_array_payload(path):
+        """Overwrite the start of the largest array member's deflate
+        stream so its first block header names the reserved block type:
+        the zip directory, the metadata member and every other array
+        stay readable, but inflating this member raises ``zlib.error``."""
+        with zipfile.ZipFile(path) as archive:
+            info = max(
+                (i for i in archive.infolist() if i.filename.startswith("arr/")),
+                key=lambda i: i.compress_size,
+            )
+        assert info.compress_type == zipfile.ZIP_DEFLATED
+        with open(path, "r+b") as fh:
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            fh.seek(info.header_offset + 30 + name_len + extra_len)
+            fh.write(b"\xff" * 8)
+
+    def test_corrupt_array_payload_falls_back(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        paths = []
+        for max_steps in (50, 150):
+            exp = make_experiment()
+            exp.run(until_level=3, max_steps=max_steps)
+            paths.append(manager.save(exp, "k0", kind="crossing"))
+        shallow, deep = paths
+        self._break_array_payload(deep)
+        assert load_meta(deep)["steps_completed"] == 150  # still ranked
+        state = manager.best("k0", until_level=3)
+        assert state is not None and state["steps_completed"] == 50
+        self._break_array_payload(shallow)
+        assert manager.best("k0", until_level=3) is None
 
     def test_version_mismatch_skipped(self, tmp_path):
         manager, path = self._saved(tmp_path, until_level=2)
