@@ -16,8 +16,8 @@ from repro.devices.health import HealthReport
 from repro.devices.perf import PerformanceModel
 from repro.errors import DeviceWornOut, ReadOnlyError
 from repro.ftl import plancache
-from repro.ftl.burst import BurstSegment
-from repro.ftl.ftl import PageMappedFTL, _ragged_ranges
+from repro.ftl.burst import BurstSegment, fold_budget
+from repro.ftl.ftl import PageMappedFTL
 from repro.ftl.hybrid import HybridFTL
 
 if TYPE_CHECKING:
@@ -101,21 +101,8 @@ class BlockDevice:
             raise ReadOnlyError(f"{self.name} is read-only (worn out)")
         before = self.ftl.media_pages_programmed
         erases_before = self._total_erases() if self.timing is not None else 0
-        if (
-            offsets.size > 1
-            and int(offsets[1]) - int(offsets[0]) == request_bytes
-            and (np.diff(offsets) == request_bytes).all()
-        ):
-            # Write combining: the device's buffer merges back-to-back
-            # sequential sync writes into full mapping units, which is
-            # why Figure 1a's sequential small writes escape the RMW
-            # penalty that random ones (Figure 1b) pay.  Both timing
-            # backends see the combined stream.
-            eff_offsets = offsets[:1]
-            eff_request_bytes = request_bytes * int(offsets.size)
-        else:
-            eff_offsets = offsets
-            eff_request_bytes = request_bytes
+        # Both timing backends see the combined stream.
+        eff_offsets, eff_request_bytes = self._combined(offsets, request_bytes)
         try:
             self.ftl.write_requests(eff_offsets, eff_request_bytes)
         except DeviceWornOut:
@@ -138,6 +125,41 @@ class BlockDevice:
         self.host_bytes_written += total_bytes
         self.busy_seconds += duration
         return duration
+
+    @staticmethod
+    def _combining(calls: np.ndarray, request_bytes: int) -> np.ndarray:
+        """Which write calls the device's write-combining buffer merges.
+
+        ``calls`` holds one call's offsets per row.  A call whose
+        requests are back to back (each starts where the previous one
+        ends) is merged into one request of the summed size, which is
+        why Figure 1a's sequential small writes escape the mapping-unit
+        read-modify-write that random ones (Figure 1b) pay.
+        """
+        combines = np.zeros(len(calls), dtype=bool)
+        count = calls.shape[1]
+        if count > 1:
+            # Cheap screens on the first gap and the whole span; only
+            # rows that pass both pay the full check.
+            maybe = np.flatnonzero(
+                (calls[:, 1] - calls[:, 0] == request_bytes)
+                & (calls[:, -1] - calls[:, 0] == (count - 1) * request_bytes)
+            )
+            if maybe.size:
+                combines[maybe] = (np.diff(calls[maybe], axis=1) == request_bytes).all(axis=1)
+        return combines
+
+    def _combined(self, offsets: np.ndarray, request_bytes: int):
+        """The ``(offsets, request_bytes)`` one write call hands the FTL."""
+        # Most calls are random and fail on their first gap; only the
+        # rest pay for the row predicate.
+        if (
+            offsets.size > 1
+            and int(offsets[1]) - int(offsets[0]) == request_bytes
+            and self._combining(offsets[None, :], request_bytes)[0]
+        ):
+            return offsets[:1], request_bytes * int(offsets.size)
+        return offsets, request_bytes
 
     def _total_erases(self) -> int:
         """Block erases across every flash package (timing accounting)."""
@@ -182,15 +204,9 @@ class BlockDevice:
             # (wear stays bit-identical either way — the fallback is the
             # exact scalar path).
             return None
-        stop_erases = None
-        if budget is not None:
-            counters = ftl.package.counters
-            for ctr, threshold in budget:
-                if ctr is not counters:
-                    return None
-                remaining = threshold - ctr.block_erases
-                if stop_erases is None or remaining < stop_erases:
-                    stop_erases = remaining
+        ok, stop_erases = fold_budget(budget, ftl.package.counters)
+        if not ok:
+            return None
         unit_bytes = ftl.unit_bytes
         unit_pages = ftl.unit_pages
         page = self.page_size
@@ -202,92 +218,46 @@ class BlockDevice:
                 offsets = np.asarray(offsets, dtype=np.int64)
                 if offsets.size == 0 or request_bytes <= 0:
                     return None
-                index = len(calls)
+                buckets.setdefault((int(offsets.size), request_bytes), []).append(len(calls))
                 calls.append((group, offsets, request_bytes))
-                buckets.setdefault((int(offsets.size), request_bytes), []).append(index)
         if not calls:
             return None
-        # unit/page sizes are powers of two in every catalog device;
-        # shifts beat int64 division on the big offset matrices.
-        unit_shift = unit_bytes.bit_length() - 1 if unit_bytes & (unit_bytes - 1) == 0 else -1
-        page_shift = page.bit_length() - 1 if page & (page - 1) == 0 else -1
         segments = [None] * len(calls)
         for (count, request_bytes), indices in buckets.items():
-            vectorized = False
+            rows = None
             if len(indices) > 1:
                 stacked = np.stack([calls[i][1] for i in indices])
-                if int(stacked.min()) >= 0 and int(stacked.max()) + request_bytes <= limit:
-                    combinable = False
-                    if count > 1:
-                        # Cheap first-gap screen; only surviving rows pay
-                        # the full write-combining check.
-                        maybe = (stacked[:, 1] - stacked[:, 0]) == request_bytes
-                        if maybe.any():
-                            sub = stacked[maybe]
-                            combinable = bool(
-                                ((sub[:, 1:] - sub[:, :-1]) == request_bytes).all(axis=1).any()
-                            )
-                    if not combinable:
-                        programs = count * unit_pages
-                        if (
-                            page_shift >= 0
-                            and unit_shift >= 0
-                            and request_bytes <= page
-                            and int((stacked & (page - 1)).max()) + request_bytes <= page
-                        ):
-                            # Fastest shape — every request fits inside
-                            # one page (hence one mapping unit: unit
-                            # boundaries are page boundaries).  No span
-                            # math needed; host pages is one per request.
-                            first_unit = stacked >> unit_shift
-                            host_pages = count
-                            for row, i in enumerate(indices):
-                                segments[i] = BurstSegment(
-                                    unit_lpns=first_unit[row],
-                                    host_pages=host_pages,
-                                    rmw_pages=programs - host_pages,
-                                    group=calls[i][0],
-                                    total_bytes=count * request_bytes,
-                                    request_bytes=request_bytes,
-                                )
-                            vectorized = True
-                    if not combinable and not vectorized:
-                        last = stacked + (request_bytes - 1)
-                        if unit_shift >= 0:
-                            first_unit = stacked >> unit_shift
-                            last_unit = last >> unit_shift
-                        else:
-                            first_unit = stacked // unit_bytes
-                            last_unit = last // unit_bytes
-                        if bool((first_unit == last_unit).all()):
-                            # Common shape — aligned single-unit requests,
-                            # no write combining: one matrix pass builds
-                            # every call's segment.
-                            if page_shift >= 0:
-                                span_pages = (last >> page_shift) - (stacked >> page_shift)
-                            else:
-                                span_pages = last // page - stacked // page
-                            host_rows = span_pages.sum(axis=1) + count
-                            programs = count * unit_pages
-                            for row, i in enumerate(indices):
-                                host_pages = int(host_rows[row])
-                                segments[i] = BurstSegment(
-                                    unit_lpns=first_unit[row],
-                                    host_pages=host_pages,
-                                    rmw_pages=programs - host_pages,
-                                    group=calls[i][0],
-                                    total_bytes=count * request_bytes,
-                                    request_bytes=request_bytes,
-                                )
-                            vectorized = True
-            if not vectorized:
-                for i in indices:
-                    segment = self._burst_segment(
-                        calls[i], unit_bytes, unit_pages, page, limit
+                rows = self._single_unit_rows(stacked, request_bytes, unit_bytes, page, limit)
+            if rows is not None:
+                # Common shape — in-range, uncombined requests that each
+                # sit inside one mapping unit: one matrix pass builds
+                # every call's segment.
+                first_unit, host_pages = rows
+                programs = count * unit_pages
+                for row, i in enumerate(indices):
+                    segments[i] = BurstSegment(
+                        unit_lpns=first_unit[row],
+                        host_pages=host_pages,
+                        rmw_pages=programs - host_pages,
+                        group=calls[i][0],
+                        total_bytes=count * request_bytes,
+                        request_bytes=request_bytes,
                     )
-                    if segment is None:
-                        return None
-                    segments[i] = segment
+                continue
+            for i in indices:
+                group, offsets, _ = calls[i]
+                eff_offsets, eff_request_bytes = self._combined(offsets, request_bytes)
+                if int(eff_offsets.min()) < 0 or int(eff_offsets.max()) + eff_request_bytes > limit:
+                    return None
+                unit_lpns, host_pages = ftl.request_span(eff_offsets, eff_request_bytes)
+                segments[i] = BurstSegment(
+                    unit_lpns=unit_lpns,
+                    host_pages=host_pages,
+                    rmw_pages=int(unit_lpns.size) * unit_pages - host_pages,
+                    group=group,
+                    total_bytes=count * request_bytes,
+                    request_bytes=request_bytes,
+                )
         m = ftl.write_requests_batch(segments, len(groups), stop_erases)
         if m is None:
             return None
@@ -318,38 +288,35 @@ class BlockDevice:
             cap.host_delta = host_bytes
         return m, seg_durations
 
-    @staticmethod
-    def _burst_segment(call, unit_bytes, unit_pages, page, limit):
-        """Scalar fallback segment builder — exact write_many math for
-        one call (write combining included)."""
-        group, offsets, request_bytes = call
-        count = int(offsets.size)
-        total_bytes = count * request_bytes
-        orig_request_bytes = request_bytes
-        if (
-            count > 1
-            and int(offsets[1]) - int(offsets[0]) == request_bytes
-            and (np.diff(offsets) == request_bytes).all()
-        ):
-            # Same write-combining rule as write_many.
-            offsets = offsets[:1]
-            request_bytes = total_bytes
-        if int(offsets.min()) < 0 or int(offsets.max()) + request_bytes > limit:
+    def _single_unit_rows(self, stacked, request_bytes, unit_bytes, page, limit):
+        """Vectorized :meth:`PageMappedFTL.request_span` for a bucket of
+        same-shaped calls, one per row of ``stacked``.
+
+        Returns ``(first_unit, host_pages)`` — each row's units and the
+        host pages every row carries — when every call is in range, none
+        combines, and every request provably sits inside one mapping unit
+        and spans the same number of pages; otherwise None, sending the
+        bucket through the per-call path.  The proof is one pass with no
+        temporary: a request's offset within its unit (or page) is a
+        submask of the OR of all offsets, so the OR's low bits bound it.
+        Units and pages are powers of two in every catalog device; other
+        geometries take the per-call path.
+        """
+        if unit_bytes & (unit_bytes - 1):
             return None
-        first_unit = offsets // unit_bytes
-        last_unit = (offsets + request_bytes - 1) // unit_bytes
-        unit_lpns = _ragged_ranges(first_unit, last_unit)
-        first_page = offsets // page
-        last_page = (offsets + request_bytes - 1) // page
-        host_pages = int((last_page - first_page + 1).sum())
-        return BurstSegment(
-            unit_lpns=unit_lpns,
-            host_pages=host_pages,
-            rmw_pages=int(unit_lpns.size) * unit_pages - host_pages,
-            group=group,
-            total_bytes=total_bytes,
-            request_bytes=orig_request_bytes,
-        )
+        if int(stacked.min()) < 0 or int(stacked.max()) + request_bytes > limit:
+            return None
+        if self._combining(stacked, request_bytes).any():
+            return None
+        low = int(np.bitwise_or.reduce(stacked, axis=None))
+        # Pages per request at offset-in-page 0 and at the OR's bound.
+        pages = (request_bytes - 1) // page + 1
+        if (
+            (low & (unit_bytes - 1)) + request_bytes > unit_bytes
+            or ((low & (page - 1)) + request_bytes - 1) // page + 1 != pages
+        ):
+            return None
+        return stacked >> (unit_bytes.bit_length() - 1), pages * stacked.shape[1]
 
     def read(self, offset: int, size: int) -> float:
         return self.read_many(np.array([offset], dtype=np.int64), size)

@@ -22,7 +22,6 @@ definition, not by convention.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -35,7 +34,6 @@ from repro.ftl.hybrid import HybridFTL
 from repro.state import CheckpointError, restore_experiment
 from repro.state.snapshot import package_config_digest
 from repro.workloads import FileRewriteWorkload
-from repro.workloads.patterns import RandomPattern
 
 
 def _pools(ftl) -> Tuple[Any, ...]:
@@ -62,42 +60,6 @@ def build_cohort_experiment(spec: CohortSpec, seed: int) -> WearOutExperiment:
         seed=seed,
     )
     return WearOutExperiment(device, workload, filesystem=fs)
-
-
-def _capture_member_entropy(experiment: WearOutExperiment) -> Dict[str, Any]:
-    """The member-identity RNG states of a *freshly built* twin, taken
-    before restore overwrites them with the prototype's."""
-    workload = experiment.workload
-    entropy: Dict[str, Any] = {
-        "workload_rng": copy.deepcopy(workload._rng.bit_generator.state),
-        "generator_rngs": [],
-    }
-    for gen in workload._generators:
-        if isinstance(gen, RandomPattern) and gen._rng is not workload._rng:
-            entropy["generator_rngs"].append(
-                copy.deepcopy(gen._rng.bit_generator.state)
-            )
-        else:
-            entropy["generator_rngs"].append(None)
-    pools = _pools(experiment.device.ftl)
-    entropy["read_rngs"] = [
-        copy.deepcopy(pool._read_rng.bit_generator.state) for pool in pools
-    ]
-    return entropy
-
-
-def _restamp_member_entropy(experiment: WearOutExperiment, entropy: Dict[str, Any]) -> None:
-    """Re-apply the member's own RNG streams over the restored
-    prototype streams.  Trajectory *positions* (sequential-pattern
-    cursors, the round-robin file cursor) stay at the prototype's
-    values — position is shared, entropy is not."""
-    workload = experiment.workload
-    workload._rng.bit_generator.state = entropy["workload_rng"]
-    for gen, state in zip(workload._generators, entropy["generator_rngs"]):
-        if state is not None:
-            gen._rng.bit_generator.state = state
-    for pool, state in zip(_pools(experiment.device.ftl), entropy["read_rngs"]):
-        pool._read_rng.bit_generator.state = state
 
 
 def _patch_package_digests(experiment: WearOutExperiment, state: Dict[str, Any]) -> Dict[str, Any]:
@@ -159,7 +121,15 @@ def branch_experiment(
     experiment = build_cohort_experiment(spec, seed)
     if snapshot is None:
         return experiment
-    entropy = _capture_member_entropy(experiment)
+    workload = experiment.workload
+    pools = _pools(experiment.device.ftl)
+    # The member's entropy — its RNG streams — taken from the fresh twin
+    # before restore overwrites it with the prototype's.  Positions
+    # (pattern cursors, the round-robin file cursor) keep the
+    # prototype's values: position is shared, entropy is not.
+    own_rng = workload._rng.bit_generator.state
+    own_patterns = [gen.state for gen in workload._generators]
+    own_reads = [pool._read_rng.bit_generator.state for pool in pools]
     patched = _patch_package_digests(experiment, snapshot)
     for pkg_state in _snapshot_packages(snapshot):
         if int(pkg_state["num_bad"]) != 0:
@@ -168,8 +138,13 @@ def branch_experiment(
                 "not shareable across member endurance draws"
             )
     restore_experiment(experiment, patched)
-    _restamp_member_entropy(experiment, entropy)
-    for pool in _pools(experiment.device.ftl):
+    workload._rng.bit_generator.state = own_rng
+    for gen, state in zip(workload._generators, own_patterns):
+        if "rng" in state:
+            gen.state = state
+    for pool, state in zip(pools, own_reads):
+        pool._read_rng.bit_generator.state = state
+    for pool in pools:
         pkg = pool.package
         worn = pkg._pe_permanent + pkg._pe_recoverable
         if np.any(worn >= pkg._cycle_limit):

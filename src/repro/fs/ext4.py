@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
-from repro.fs.interface import File, FileSystem
+from repro.fs.interface import FileSystem
 
 
 class Ext4Model(FileSystem):
@@ -56,26 +56,6 @@ class Ext4Model(FileSystem):
         self._journal_cursor = 0
         self._pages_since_commit = 0
         self.journal_bytes_written = 0
-
-    def _flush_requests(self, file: File, offsets: np.ndarray, request_bytes: int) -> float:
-        return self.device.write_many(file.extent_start + offsets, request_bytes)
-
-    def _metadata_overhead(self, file: File, data_pages: int) -> float:
-        self._pages_since_commit += data_pages
-        commits = self._pages_since_commit // self.commit_interval_pages
-        if commits == 0:
-            return 0.0
-        self._pages_since_commit %= self.commit_interval_pages
-        return self._commit_journal(commits)
-
-    def _commit_journal(self, commits: int) -> float:
-        """Write journal transactions into the circular journal area."""
-        journal_pages = self.journal_bytes // self.page_size
-        count = commits * self.commit_pages
-        slots = (self._journal_cursor + np.arange(count, dtype=np.int64)) % journal_pages
-        self._journal_cursor = int((self._journal_cursor + count) % journal_pages)
-        self.journal_bytes_written += count * self.page_size
-        return self.device.write_many(slots * self.page_size, self.page_size)
 
     def _burst_metadata_plan(self, data_pages_per_step):
         journal_pages = self.journal_bytes // self.page_size

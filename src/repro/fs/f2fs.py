@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
-from repro.fs.interface import File, FileSystem
+from repro.fs.interface import FileSystem
 
 
 class F2fsModel(FileSystem):
@@ -64,23 +64,6 @@ class F2fsModel(FileSystem):
         self._node_debt = 0.0
         self.node_bytes_written = 0
 
-    def _flush_requests(self, file: File, offsets: np.ndarray, request_bytes: int) -> float:
-        duration = self.device.write_many(file.extent_start + offsets, request_bytes)
-        return duration / self.checkpoint_slowdown
-
-    def _metadata_overhead(self, file: File, data_pages: int) -> float:
-        self._node_debt += data_pages * self.node_pages_per_data_page
-        node_pages = int(self._node_debt)
-        if node_pages == 0:
-            return 0.0
-        self._node_debt -= node_pages
-        area_pages = self.node_area_bytes // self.page_size
-        slots = (self._node_cursor + np.arange(node_pages, dtype=np.int64)) % area_pages
-        self._node_cursor = int((self._node_cursor + node_pages) % area_pages)
-        self.node_bytes_written += node_pages * self.page_size
-        duration = self.device.write_many(slots * self.page_size, self.page_size)
-        return duration / self.checkpoint_slowdown
-
     def _burst_metadata_plan(self, data_pages_per_step):
         area_pages = self.node_area_bytes // self.page_size
         debt = self._node_debt
@@ -112,8 +95,7 @@ class F2fsModel(FileSystem):
 
     def _burst_compose_duration(self, seg_durations) -> float:
         # Each device call's duration is divided by the slowdown factor
-        # separately, exactly as the scalar _flush_requests and
-        # _metadata_overhead do.
+        # separately: checkpointing stalls both the data and node writes.
         duration = seg_durations[0] / self.checkpoint_slowdown
         if len(seg_durations) > 1:
             duration += seg_durations[1] / self.checkpoint_slowdown

@@ -58,9 +58,11 @@ class File:
 class FileSystem:
     """Base class for the Ext4 and F2FS models.
 
-    Subclasses implement :meth:`_flush_requests` (how data reaches the
-    device) and :meth:`_metadata_overhead` (journal / node writes that
-    accompany flushed data).
+    Subclasses implement the metadata hooks :meth:`_burst_metadata_plan`
+    (journal / node writes that accompany flushed data),
+    :meth:`_burst_commit` and :meth:`_burst_compose_duration`; the scalar
+    :meth:`_sync_out` and the fused :meth:`write_requests_burst` both
+    run through them.
 
     Args:
         device: The block device to mount on.
@@ -280,39 +282,37 @@ class FileSystem:
     # ------------------------------------------------------------------
 
     def _sync_out(self, file: File, offsets: np.ndarray, request_bytes: int) -> float:
-        """Push request batch to the device plus FS metadata overhead."""
-        duration = self._flush_requests(file, offsets, request_bytes)
+        """Push request batch to the device plus FS metadata overhead:
+        one step of :meth:`write_requests_burst`, call by call."""
         pages_per_request = -(-request_bytes // self.page_size)
-        duration += self._metadata_overhead(file, int(offsets.size) * pages_per_request)
-        return duration
-
-    def _flush_requests(self, file: File, offsets: np.ndarray, request_bytes: int) -> float:
-        raise NotImplementedError
-
-    def _metadata_overhead(self, file: File, data_pages: int) -> float:
-        raise NotImplementedError
+        (meta_call,), states = self._burst_metadata_plan([int(offsets.size) * pages_per_request])
+        seg_durations = [self.device.write_many(file.extent_start + offsets, request_bytes)]
+        self._burst_commit(states, 1)
+        if meta_call is not None:
+            seg_durations.append(self.device.write_many(*meta_call))
+        return self._burst_compose_duration(seg_durations)
 
     def _burst_metadata_plan(self, data_pages_per_step):
-        """Precompute metadata writes for a burst of sync steps.
+        """Precompute metadata writes for a run of sync steps.
 
         Given the data pages flushed by each step, return
         ``(meta_calls, states)`` where ``meta_calls[i]`` is the step's
         metadata ``(offsets, request_bytes)`` device call (or None when
         the step commits no metadata) and ``states[i]`` is the opaque
         cursor state reached after step ``i`` — consumed by
-        :meth:`_burst_commit` for the executed prefix.  The default
-        returns None: filesystems without a burst plan fall back to the
-        scalar path.
+        :meth:`_burst_commit` for the executed prefix.  Reads the
+        metadata cursors, never writes them.  A planner that returns
+        None refuses a fused burst, which the workload then rewinds.
         """
-        return None
+        raise NotImplementedError
 
     def _burst_commit(self, states, steps_executed: int) -> None:
-        """Apply the metadata cursor state after a truncated burst."""
+        """Apply the metadata cursor state after ``steps_executed`` steps."""
         raise NotImplementedError
 
     def _burst_compose_duration(self, seg_durations) -> float:
-        """Combine one step's device call durations exactly as the
-        scalar ``_sync_out`` arithmetic would."""
+        """Combine one step's device call durations (data, then
+        metadata if any) into the step's duration."""
         raise NotImplementedError
 
     def _plan_probe(self):

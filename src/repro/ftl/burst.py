@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,25 @@ class BurstSegment:
     group: int
     total_bytes: int
     request_bytes: int
+
+
+def fold_budget(budget, counters) -> Tuple[bool, Optional[int]]:
+    """Fold an experiment poll budget into the walk's erase allowance.
+
+    ``budget`` is a sequence of ``(counters, threshold)`` pairs or None.
+    Returns ``(ok, stop_erases)``: ``ok`` is False when a pair names a
+    counter other than ``counters`` (another pool's — the fused path
+    cannot bound it), and ``stop_erases`` is the smallest number of
+    further erases any threshold allows, or None for no bound.
+    """
+    stop = None
+    for ctr, threshold in budget or ():
+        if ctr is not counters:
+            return False, None
+        remaining = threshold - ctr.block_erases
+        if stop is None or remaining < stop:
+            stop = remaining
+    return True, stop
 
 
 def execute_write_burst(

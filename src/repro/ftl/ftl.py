@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -210,18 +210,9 @@ class PageMappedFTL:
             return
         if request_bytes <= 0:
             raise ConfigurationError("request_bytes must be positive")
-        page = self.geometry.page_size
         self._check_writable_bytes(offsets, request_bytes)
-
-        first_unit = offsets // self.unit_bytes
-        last_unit = (offsets + request_bytes - 1) // self.unit_bytes
-        unit_lpns = _ragged_ranges(first_unit, last_unit)
-        programs = int(unit_lpns.size) * self.unit_pages
-
-        first_page = offsets // page
-        last_page = (offsets + request_bytes - 1) // page
-        host_pages = int((last_page - first_page + 1).sum())
-        rmw_pages = programs - host_pages
+        unit_lpns, host_pages = self.request_span(offsets, request_bytes)
+        rmw_pages = int(unit_lpns.size) * self.unit_pages - host_pages
 
         obs = self._obs
         if not as_migration:
@@ -240,6 +231,18 @@ class PageMappedFTL:
             if obs is not None:
                 obs.pages_read.inc(rmw_pages)
         self._write_units(unit_lpns, _Source.MIGRATION if as_migration else _Source.HOST)
+
+    def request_span(self, offsets: np.ndarray, request_bytes: int) -> Tuple[np.ndarray, int]:
+        """What a batch of equal-sized requests touches: the mapping
+        units it reprograms (one run per request, in request order) and
+        the host pages it carries.  The scalar write path and the fused
+        burst's per-call segments both take their page accounting from
+        here."""
+        last = offsets + (request_bytes - 1)
+        unit_lpns = _ragged_ranges(offsets // self.unit_bytes, last // self.unit_bytes)
+        page = self.geometry.page_size
+        host_pages = int((last // page - offsets // page + 1).sum())
+        return unit_lpns, host_pages
 
     def write_requests_batch(self, segments, num_groups, stop_erases=None):
         """Fused burst execution of many write calls (DESIGN.md §11).

@@ -4,11 +4,11 @@ Steady-state wear-out trajectories execute the same fused burst over and
 over: the clean-path proof and placement plan that
 :mod:`repro.ftl.burst` derives from scratch on every ``write_burst``
 call are a *pure function* of a small set of simulator state components
-— the pattern-RNG phase, the FTL's free-list order and per-block wear,
-the GC queue counts, and the filesystem's journal/node cursors.  This
-module memoizes whole ``step_batch`` windows on an **exact-equality
-probe** of precisely those components, so a repeated trajectory pays
-only the vectorized apply.
+— the pattern generators' state, the FTL's free-list order and
+per-block wear, the GC queue counts, and the filesystem's journal/node
+cursors.  This module memoizes whole ``step_batch`` windows on an
+**exact-equality probe** of precisely those components, so a repeated
+trajectory pays only the vectorized apply.
 
 Soundness is by construction, not by hashing: a cached plan replays
 only when *every value the planner reads* compares equal to the value
@@ -113,7 +113,7 @@ class _Entry:
     host_delta: int
     app_delta: int
     fs_state: tuple
-    pattern_end: tuple
+    pattern_end: List[dict]
     next_file_end: int
     nbytes: int
 
@@ -270,11 +270,6 @@ def _freeze(obj: Any) -> Any:
     return obj
 
 
-def freeze_state(state: Any) -> Any:
-    """Public alias used by the workload's pattern-state export."""
-    return _freeze(state)
-
-
 def _ftl_probe(ftl) -> tuple:
     """Exact values of every FTL/flash component the planner reads."""
     pkg = ftl.package
@@ -306,8 +301,9 @@ def _ftl_probe(ftl) -> tuple:
 
 
 def workload_probe(workload) -> Optional[tuple]:
-    """Dynamic probe for a FileRewriteWorkload window: pattern phases,
-    round-robin cursor, filesystem cursors, and the FTL/flash probe."""
+    """Dynamic probe for a FileRewriteWorkload window: every pattern
+    generator's state, the round-robin cursor, filesystem cursors, and
+    the FTL/flash probe."""
     fs = workload.fs
     fs_probe = fs._plan_probe()
     if fs_probe is None:
@@ -321,7 +317,7 @@ def workload_probe(workload) -> Optional[tuple]:
     if not hasattr(ftl, "_gc_queue"):
         return None  # hybrid / duck-typed FTLs: the fused path bails anyway
     return (
-        workload._export_pattern_states(),
+        _freeze([generator.state for generator in workload._generators]),
         workload._next_file,
         fs_probe,
         _ftl_probe(ftl),
@@ -363,27 +359,22 @@ def static_key(workload, n: int) -> tuple:
 
 
 def resolve_stop(workload, budget) -> Tuple[bool, Optional[int]]:
-    """Replicate ``BlockDevice.write_burst``'s budget folding.
+    """Fold the poll budget exactly as ``BlockDevice.write_burst`` does
+    (:func:`repro.ftl.burst.fold_budget`).
 
     Returns ``(ok, stop_rel)``: ``ok`` is False when the budget names a
     foreign counter (the device layer would refuse the fused path, so
     the cache must stay out of the way) and ``stop_rel`` is the minimal
     further-erase allowance, or None for an unbounded window.
     """
+    from repro.ftl.burst import fold_budget
+
     if budget is None:
         return True, None
     package = getattr(workload.fs.device.ftl, "package", None)
     if package is None:
         return False, None  # hybrid FTL: the fused path refuses anyway
-    counters = package.counters
-    stop = None
-    for ctr, threshold in budget:
-        if ctr is not counters:
-            return False, None
-        remaining = threshold - ctr.block_erases
-        if stop is None or remaining < stop:
-            stop = remaining
-    return True, stop
+    return fold_budget(budget, package.counters)
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +488,8 @@ def _replay(workload, entry: _Entry) -> None:
     device.busy_seconds = busy
     fs.app_bytes_written += entry.app_delta
     fs._burst_commit((entry.fs_state,), 1)
-    workload._import_pattern_states(entry.pattern_end)
+    for generator, state in zip(workload._generators, entry.pattern_end):
+        generator.state = state
     workload._next_file = entry.next_file_end
 
 
@@ -523,7 +515,7 @@ def finish_capture(cap: _Capture, durations: List[float], workload) -> None:
         host_delta=cap.host_delta,
         app_delta=cap.app_delta,
         fs_state=cap.fs_state,
-        pattern_end=workload._export_pattern_state_values(),
+        pattern_end=[generator.state for generator in workload._generators],
         next_file_end=workload._next_file,
         nbytes=cap.plan.nbytes() + 16 * (len(durations) + len(cap.seg_durations)) + 512,
     )

@@ -6,7 +6,7 @@ clock), the FTL (mapping tables, validity tracking, free-list order,
 GC queue, wear-leveling state, stats, the read-error RNG), the hybrid
 two-pool wrapper, the device's host counters, the filesystem (allocator
 cursor, files, dirty page cache, journal/node cursors) and the rewrite
-workload (round-robin cursor, pattern RNGs).
+workload (round-robin cursor, each pattern generator's RNG or cursor).
 
 The contract is *bit identity*: restoring a snapshot into a freshly
 built twin (same device spec, scale, and seed) and continuing the run
@@ -48,7 +48,6 @@ from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
 from repro.ftl.ftl import PageMappedFTL
 from repro.ftl.hybrid import HybridFTL
-from repro.workloads.patterns import RandomPattern, SequentialPattern
 
 #: Bump when the snapshot layout changes; loaders reject other versions.
 STATE_FORMAT_VERSION = 1
@@ -279,14 +278,6 @@ def restore_filesystem(fs, state: Dict[str, Any]) -> None:
 
 
 def capture_workload(workload) -> Dict[str, Any]:
-    generators = []
-    for gen in workload._generators:
-        if isinstance(gen, RandomPattern):
-            generators.append({"kind": "rand", "rng": gen._rng.bit_generator.state})
-        elif isinstance(gen, SequentialPattern):
-            generators.append({"kind": "seq", "cursor": int(gen._cursor)})
-        else:
-            raise CheckpointError(f"cannot snapshot pattern generator {type(gen).__name__}")
     return {
         "pattern": workload.pattern,
         "request_bytes": int(workload.request_bytes),
@@ -294,7 +285,7 @@ def capture_workload(workload) -> Dict[str, Any]:
         "next_file": int(workload._next_file),
         "rng": workload._rng.bit_generator.state,
         "files": [f.name for f in workload.files],
-        "generators": generators,
+        "generators": [{"kind": gen.name, **gen.state} for gen in workload._generators],
     }
 
 
@@ -314,12 +305,8 @@ def restore_workload(workload, state: Dict[str, Any], fs=None) -> None:
     workload._next_file = int(state["next_file"])
     workload._rng.bit_generator.state = state["rng"]
     for gen, gen_state in zip(workload._generators, state["generators"]):
-        if gen_state["kind"] == "rand":
-            _require(isinstance(gen, RandomPattern), "pattern generator kind mismatch")
-            gen._rng.bit_generator.state = gen_state["rng"]
-        else:
-            _require(isinstance(gen, SequentialPattern), "pattern generator kind mismatch")
-            gen._cursor = int(gen_state["cursor"])
+        _require(gen.name == gen_state["kind"], "pattern generator kind mismatch")
+        gen.state = gen_state
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,14 @@ paper's "4 KiB rand"), sequentially wrapping (the "128 KiB seq"
 phases), or strided (uFLIP's third micro-pattern — deterministic like
 seq, but the gaps defeat write combining so every request pays the
 mapping-unit read-modify-write that random writes pay).
+
+Each generator owns its mutable state as a small dict, read and set
+through its ``state`` property: ``{"rng": ...}`` (the bit-generator
+state) for the random pattern, ``{"cursor": ...}`` for the cursor
+patterns.  Every path that saves or re-applies a generator's position —
+the fused path's rewind, the plan cache's probe and replay, checkpoints,
+and cohort branching (which keeps a member's own ``"rng"`` entropy but
+the prototype's cursors) — goes through it.
 """
 
 from __future__ import annotations
@@ -28,12 +36,34 @@ class RandomPattern:
         self._slots = region_bytes // request_bytes
         self._rng = make_rng(seed)
 
+    @property
+    def state(self) -> dict:
+        return {"rng": self._rng.bit_generator.state}
+
+    @state.setter
+    def state(self, state: dict) -> None:
+        self._rng.bit_generator.state = state["rng"]
+
     def next_batch(self, count: int) -> np.ndarray:
         """Return ``count`` independent request offsets."""
         return self._rng.integers(0, self._slots, size=count, dtype=np.int64) * self.request_bytes
 
 
-class SequentialPattern:
+class _CursorPattern:
+    """Deterministic patterns whose whole state is a slot cursor."""
+
+    _cursor: int
+
+    @property
+    def state(self) -> dict:
+        return {"cursor": self._cursor}
+
+    @state.setter
+    def state(self, state: dict) -> None:
+        self._cursor = int(state["cursor"])
+
+
+class SequentialPattern(_CursorPattern):
     """Sequential aligned offsets, wrapping around the region."""
 
     name = "seq"
@@ -52,7 +82,7 @@ class SequentialPattern:
         return offsets
 
 
-class StridePattern:
+class StridePattern(_CursorPattern):
     """Aligned offsets advancing by a fixed stride, wrapping.
 
     uFLIP's strided micro-pattern: deterministic forward progress like

@@ -172,20 +172,23 @@ class FileRewriteWorkload:
         cap = plancache.active_capture()
         num_files = len(self.files)
         start_file = self._next_file
-        saved = self._capture_pattern_state()
+        saved = [generator.state for generator in self._generators]
         plans = []
         for i in range(n):
             index = (start_file + i) % num_files
             offsets = self._generators[index].next_batch(self.batch_requests)
             plans.append((self.files[index], offsets))
         out = fs_burst(plans, self.request_bytes, budget)
+        if out is None or out[0] < n:
+            # Random patterns may share one Generator; every saved state
+            # was taken at the same instant, so re-applying each is exact.
+            for generator, state in zip(self._generators, saved):
+                generator.state = state
         if out is None:
-            self._restore_pattern_state(saved)
             plancache.abort_capture()
             return None
         m, durations = out
         if m < n:
-            self._restore_pattern_state(saved)
             for i in range(m):
                 index = (start_file + i) % num_files
                 self._generators[index].next_batch(self.batch_requests)
@@ -194,77 +197,3 @@ class FileRewriteWorkload:
         if cap is not None:
             plancache.finish_capture(cap, durations, self)
         return durations, [app_bytes] * m, False
-
-    def _capture_pattern_state(self):
-        """Snapshot every generator's RNG state / cursor for rewind.
-
-        Random patterns may share one Generator object (they are built
-        from the workload's substream), so RNG states are captured once
-        per distinct object.
-        """
-        entries = []
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                entries.append(("rng", rng, rng.bit_generator.state))
-            if hasattr(generator, "_cursor"):
-                entries.append(("cursor", generator, generator._cursor))
-        return entries
-
-    def _restore_pattern_state(self, entries) -> None:
-        for kind, target, value in entries:
-            if kind == "rng":
-                target.bit_generator.state = value
-            else:
-                target._cursor = value
-
-    # ------------------------------------------------------------------
-    # Plan-cache pattern-state protocol (DESIGN.md §14).  Unlike the
-    # rewind snapshot above, these are *positional* (no object
-    # references), so a state captured in one window can be compared and
-    # re-applied in a later, state-identical window.  Distinct RNG
-    # objects are visited once, in generator order (random patterns may
-    # share the workload substream's Generator).
-    # ------------------------------------------------------------------
-
-    def _export_pattern_states(self):
-        """Hashable positional probe of every generator's phase."""
-        entries = []
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                entries.append(("rng", plancache.freeze_state(rng.bit_generator.state)))
-            if hasattr(generator, "_cursor"):
-                entries.append(("cursor", generator._cursor))
-        return tuple(entries)
-
-    def _export_pattern_state_values(self):
-        """Settable positional snapshot (raw RNG state dicts)."""
-        entries = []
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                entries.append(("rng", rng.bit_generator.state))
-            if hasattr(generator, "_cursor"):
-                entries.append(("cursor", generator._cursor))
-        return tuple(entries)
-
-    def _import_pattern_states(self, entries) -> None:
-        """Apply a positional snapshot from :meth:`_export_pattern_state_values`."""
-        it = iter(entries)
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                _, value = next(it)
-                rng.bit_generator.state = value
-            if hasattr(generator, "_cursor"):
-                _, value = next(it)
-                generator._cursor = value

@@ -30,7 +30,7 @@ SCALE = 2048  # a few hundred steps to level 2 on every drawn device
 configs = st.fixed_dictionaries({
     "device": st.sampled_from(["emmc-8gb", "moto-e-8gb", "blu-4gb"]),
     "filesystem": st.sampled_from(["ext4", "f2fs"]),
-    "pattern": st.sampled_from(["rand", "seq"]),
+    "pattern": st.sampled_from(["rand", "seq", "stride"]),
     "request_bytes": st.sampled_from([4 * KIB, 8 * KIB, 16 * KIB]),
     "num_files": st.integers(min_value=1, max_value=8),
     "seed": st.integers(min_value=0, max_value=2**16),

@@ -24,6 +24,7 @@ import zipfile
 import numpy as np
 import pytest
 
+import repro.campaign.runner as campaign_runner
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.campaign.store import ResultStore
@@ -43,6 +44,7 @@ from repro.state import (
     snapshot_experiment,
     warm_start_key,
 )
+from repro.state.snapshot import capture_workload, restore_workload
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 
@@ -487,3 +489,91 @@ class TestCampaignWarmStart:
         reference = ResultStore(None)
         CampaignRunner(grid, store=reference).run()
         assert store.fingerprint() == reference.fingerprint()
+
+
+# capture_workload() of a 2-file, 16-request workload after three
+# scalar steps (emmc-8gb, scale 512, ext4, seed 7), as version-1
+# checkpoints store it.  Random patterns share the workload substream,
+# so every generator entry repeats its state.
+_PCG = "PCG64"
+_INC = 130574029319568654418651244579700352135
+_RAND_RNG = {
+    "bit_generator": _PCG,
+    "state": {"state": 222329977321531415394699109765164867644, "inc": _INC},
+    "has_uint32": 0,
+    "uinteger": 1766504157,
+}
+PINNED_WORKLOAD_STATES = {
+    "rand": {
+        "pattern": "rand", "request_bytes": 4096, "batch_requests": 16, "next_file": 1,
+        "rng": _RAND_RNG,
+        "files": ["wear-0", "wear-1"],
+        "generators": [{"kind": "rand", "rng": _RAND_RNG}, {"kind": "rand", "rng": _RAND_RNG}],
+    },
+    "seq": {
+        "pattern": "seq", "request_bytes": 4096, "batch_requests": 16, "next_file": 1,
+        "rng": {
+            "bit_generator": _PCG,
+            "state": {"state": 97662033819098527012533092462722354916, "inc": _INC},
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+        "files": ["wear-0", "wear-1"],
+        "generators": [{"kind": "seq", "cursor": 32}, {"kind": "seq", "cursor": 16}],
+    },
+}
+
+
+class TestWorkloadPatternState:
+    """Every pattern generator snapshots; rand and seq keep the
+    version-1 layout so existing checkpoints still load."""
+
+    @staticmethod
+    def _workload(pattern):
+        device = build_device("emmc-8gb", scale=512, seed=7)
+        fs = make_filesystem("ext4", device)
+        workload = FileRewriteWorkload(
+            fs, num_files=2, request_bytes=4 * KIB, pattern=pattern,
+            batch_requests=16, seed=7,
+        )
+        for _ in range(3):
+            workload.step()
+        return workload
+
+    @pytest.mark.parametrize("pattern", ["rand", "seq"])
+    def test_layout_is_pinned(self, pattern):
+        state = capture_workload(self._workload(pattern))
+        # json.dumps pins key order too: it is the on-disk metadata.
+        assert json.dumps(state) == json.dumps(PINNED_WORKLOAD_STATES[pattern])
+
+    def test_kind_mismatch_is_rejected(self):
+        state = capture_workload(self._workload("stride"))
+        with pytest.raises(CheckpointError, match="kind mismatch"):
+            restore_workload(self._workload("seq"), {**state, "pattern": "seq"})
+
+    def test_checkpointed_stride_point_warm_starts_exactly(self, tmp_path, monkeypatch):
+        def grid(until_level):
+            return CampaignSpec(
+                name="stride", base_seed=1,
+                points=[PointSpec(kind="wearout", device="emmc-8gb", scale=512, seed=7,
+                                  filesystem="ext4", pattern="stride",
+                                  until_level=until_level)],
+            )
+
+        CampaignRunner(grid(2), store=ResultStore(None), checkpoint_dir=tmp_path).run()
+        assert list(tmp_path.glob("*.npz"))
+
+        restored = []
+        real_restore = campaign_runner.restore_experiment
+
+        def spy(experiment, state):
+            restored.append(state["steps_completed"])
+            real_restore(experiment, state)
+
+        monkeypatch.setattr(campaign_runner, "restore_experiment", spy)
+        warm = ResultStore(None)
+        CampaignRunner(grid(3), store=warm, checkpoint_dir=tmp_path).run()
+        assert restored and restored[0] > 0  # resumed from the level-2 crossing
+        cold = ResultStore(None)
+        CampaignRunner(grid(3), store=cold).run()
+        assert warm.fingerprint() == cold.fingerprint()
