@@ -290,12 +290,13 @@ class BlockDevice:
 
     def _single_unit_rows(self, stacked, request_bytes, unit_bytes, page, limit):
         """Vectorized :meth:`PageMappedFTL.request_span` for a bucket of
-        same-shaped calls, one per row of ``stacked``.
+        same-shaped calls, one per row of ``stacked`` (an owned matrix).
 
-        Returns ``(first_unit, host_pages)`` — each row's units and the
-        host pages every row carries — when every call is in range, none
-        combines, and every request provably sits inside one mapping unit
-        and spans the same number of pages; otherwise None, sending the
+        Returns ``(first_unit, host_pages)`` — each row's units (shifted
+        into ``stacked`` in place) and the host pages every row carries —
+        when every call is in range, none combines, and every request
+        provably sits inside one mapping unit and spans the same number
+        of pages; otherwise None, with ``stacked`` untouched, sending the
         bucket through the per-call path.  The proof is one pass with no
         temporary: a request's offset within its unit (or page) is a
         submask of the OR of all offsets, so the OR's low bits bound it.
@@ -316,7 +317,10 @@ class BlockDevice:
             or ((low & (page - 1)) + request_bytes - 1) // page + 1 != pages
         ):
             return None
-        return stacked >> (unit_bytes.bit_length() - 1), pages * stacked.shape[1]
+        # In place: the bucket's offsets are dead once shifted, so the
+        # device keeps one window-sized matrix (DESIGN.md §11).
+        stacked >>= unit_bytes.bit_length() - 1
+        return stacked, pages * stacked.shape[1]
 
     def read(self, offset: int, size: int) -> float:
         return self.read_many(np.array([offset], dtype=np.int64), size)

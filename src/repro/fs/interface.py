@@ -195,6 +195,11 @@ class FileSystem:
         Args:
             plans: One ``(file, file_offsets)`` pair per step, each
                 equivalent to one ``write_requests(..., sync=True)`` call.
+                The burst consumes every ``file_offsets`` array: once the
+                metadata plan accepts the window, it rewrites each into
+                device offsets in place, so the window's offsets exist
+                once (DESIGN.md §11).  Callers pass freshly drawn arrays
+                and never read them again.
             budget: Poll budget forwarded to the device burst path.
 
         Returns:
@@ -223,7 +228,8 @@ class FileSystem:
         meta_calls, states = meta
         groups = []
         for (file, offsets), meta_call in zip(rows, meta_calls):
-            calls = [(file.extent_start + offsets, request_bytes)]
+            offsets += file.extent_start
+            calls = [(offsets, request_bytes)]
             if meta_call is not None:
                 calls.append(meta_call)
             groups.append(calls)

@@ -50,6 +50,7 @@ tests/test_burst_batching.py hold the line).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -166,49 +167,66 @@ def plan_write_burst(
     pkg.max_pe_count
 
     parts = [s.unit_lpns for s in segments]
-    U = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    L = int(U.size)
+    seg_lens = [int(part.size) for part in parts]
+    L = sum(seg_lens)
     if L == 0:
         return None
-    if int(U.min()) < 0 or int(U.max()) >= ftl.num_logical_units:
-        return None  # out of range: the scalar path raises properly
-    if ftl.num_logical_units >= 1 << 32:
+    n_units = ftl.num_logical_units
+    if n_units >= 1 << 32:
         return None  # packed sort codes need LPN < 2**32
 
     # ------------------------------------------------------------------
-    # Stream analysis: next-occurrence links and pre-burst mappings
+    # Stream analysis, in the sorted domain: one in-place sort of packed
+    # (LPN, position) codes groups every LPN's positions in stream order.
+    # From it come the first occurrence of each LPN (group heads) and the
+    # next-occurrence links ``nxt`` (the data longevity of every write),
+    # which the planner needs only as a maximum per extent (``ext_t``)
+    # and, after the walk, as survivor flags.  The stream copy becomes
+    # the codes and then ``nxt`` in place, and one scratch array serves
+    # every temporary, so at most two window-sized arrays ever exist
+    # here and only ``nxt`` outlives this block (DESIGN.md §11).
     # ------------------------------------------------------------------
-    # Next-occurrence links via one value sort of packed (LPN, position)
-    # codes: sorting groups positions by LPN in stream order, and a
-    # plain np.sort beats argsort (no index permutation pass).  When LPN
-    # and position bits fit 32 together — small devices, the common
-    # case — the whole link pass stays on uint32: half the radix bytes,
-    # and the big scatter into ``nxt`` touches half the memory.  The
-    # sentinel is then the uint32 maximum and "never fires" becomes
-    # ``event >= 2**32``; the int64 path keeps the classic ``_NEVER``.
+    code = np.concatenate(parts)  # a copy even for one part
+    if int(code.min()) < 0 or int(code.max()) >= n_units:
+        return None  # out of range: the scalar path raises properly
+    stream_dtype = code.dtype
+    # When LPN and position bits fit 32 together — small windows — the
+    # codes stay uint32: half the radix bytes and half the memory.  The
+    # "never" sentinel is then the uint32 maximum and "never fires"
+    # becomes ``event >= 2**32``; int64 codes keep the classic _NEVER.
     pos_bits = max(1, (L - 1).bit_length())
-    if ftl.num_logical_units <= 1 << (32 - pos_bits):
-        code = np.sort(
-            (U.astype(np.uint32) << pos_bits) | np.arange(L, dtype=np.uint32)
-        )
-        order = code & np.uint32((1 << pos_bits) - 1)
-        grp = code >> pos_bits
-        nxt = np.full(L, 0xFFFFFFFF, dtype=np.uint32)
-        never_cap = 1 << 32
+    if n_units <= 1 << (32 - pos_bits):
+        code = code.astype(np.uint32)
+        never, never_cap = 0xFFFFFFFF, 1 << 32
     else:
-        code = np.sort((U << 31) | np.arange(L, dtype=np.int64))
-        order = code & ((1 << 31) - 1)
-        grp = code >> 31
-        nxt = np.full(L, _NEVER, dtype=np.int64)
-        never_cap = _NEVER
-    same = grp[:-1] == grp[1:]
-    succ = order[1:][same]
-    nxt[order[:-1][same]] = succ
-    isfirst = np.ones(L, dtype=bool)
-    isfirst[succ] = False
+        code = code.astype(np.int64, copy=False)
+        pos_bits, never, never_cap = 31, _NEVER, _NEVER
+    code <<= pos_bits
+    scratch = np.arange(L, dtype=code.dtype)
+    code |= scratch
+    code.sort()
+    # Group tails (an LPN's last write) are the sorted indices after
+    # which the LPN bits change, and the last index.
+    np.bitwise_xor(code[:-1], code[1:], out=scratch[:-1])
+    tails = np.flatnonzero(scratch[:-1] >= 1 << pos_bits)
+    head_codes = code[np.concatenate([[0], tails + 1])]
+    # Next occurrence: each sorted position links to its successor in
+    # the sorted order, and each tail to the sentinel.  ``code`` is dead
+    # once ``scratch`` holds the positions, so ``nxt`` takes its memory.
+    np.bitwise_and(code, (1 << pos_bits) - 1, out=scratch)
+    nxt = code
+    del code
+    nxt[scratch[:-1]] = scratch[1:]
+    nxt[scratch[tails]] = never
+    nxt[scratch[-1]] = never
+    del scratch
 
-    first_pos = np.nonzero(isfirst)[0]
-    probe_lpns = U[first_pos]
+    # First occurrences in stream order, with their LPNs: the probe of
+    # every pre-burst mapping the burst reads.
+    head_pos = head_codes & ((1 << pos_bits) - 1)
+    by_pos = np.argsort(head_pos)
+    first_pos = head_pos[by_pos]
+    probe_lpns = (head_codes[by_pos] >> pos_bits).astype(stream_dtype)
     old_all = ftl._l2p[probe_lpns]
     hit = old_all >= 0
     old_ppu = old_all[hit]
@@ -272,8 +290,6 @@ def plan_write_burst(
         b0_extra = 0
         if b0_pre:
             exhaust_pos.pop(active0, None)
-
-    seg_lens = [int(s.unit_lpns.size) for s in segments]
 
     # ------------------------------------------------------------------
     # The walk: mirror _write_units/_place_span over stream positions,
@@ -344,7 +360,7 @@ def plan_write_burst(
     intra = np.arange(tot, dtype=np.int64) - np.repeat(red, lens)
     ppus = np.repeat(slot0, lens) + intra
     sidx = np.repeat(starts, lens) + intra
-    su = U[sidx]
+    su = _stream_ranges(parts, seg_lens, starts, ends, tot, stream_dtype)
     sv = nxt[sidx] >= C
     if n_blocks * upb < 1 << 32 and ftl.num_logical_units < 1 << 32:
         # Plans are cached whole; uint32 slot/LPN arrays halve the
@@ -380,6 +396,25 @@ def plan_write_burst(
         probe_lpns=probe_lpns,
         probe_old=old_all,
     )
+
+
+def _stream_ranges(parts, seg_lens, starts, ends, total, dtype):
+    """The burst's unit stream at ``[starts[i], ends[i])`` for every
+    ``i``, concatenated (``total`` units) — read from the segments' own
+    arrays, so the planner keeps no window-sized copy of the stream."""
+    seg_ends = np.cumsum(seg_lens).tolist()
+    out = np.empty(total, dtype=dtype)
+    filled = 0
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        j = bisect_right(seg_ends, start)
+        while start < end:
+            seg_start = seg_ends[j] - seg_lens[j]
+            stop = end if end < seg_ends[j] else seg_ends[j]
+            out[filled : filled + stop - start] = parts[j][start - seg_start : stop - seg_start]
+            filled += stop - start
+            start = stop
+            j += 1
+    return out
 
 
 def _walk(

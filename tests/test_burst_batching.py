@@ -12,12 +12,16 @@ exactly, including byte-identical checkpoint snapshots.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.experiment import WearOutExperiment
 from repro.devices import build_device
 from repro.fs import Ext4Model, F2fsModel
+from repro.ftl import plancache
+from repro.ftl.burst import plan_write_burst
 from repro.state.checkpoint import CheckpointManager
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
@@ -297,3 +301,59 @@ class TestStepBatchProtocol:
         scalar_durations = [scalar.workload.step()[0] for _ in range(8)]
         assert durations == scalar_durations
         assert ftl_fingerprint(burst.device.ftl) == ftl_fingerprint(scalar.device.ftl)
+
+
+class TestWindowWorkingSet:
+    """A fused window holds a bounded working set per planned request.
+
+    Each layer holds at most one window-sized array (DESIGN.md §11):
+    the workload's draws, which the filesystem turns into device offsets
+    in place; the device's bucket matrix, shifted in place to units; the
+    planner's sort codes, turned in place into next-occurrence links,
+    plus one scratch array while it builds them.  Measured peak: about
+    35 B per request with int64 codes and 44 with uint32 codes (where
+    fixed per-window costs weigh more).  Each bound sits below one more
+    int64 copy of the window (8 B per request); copies at every layer
+    measured about 80.
+    """
+
+    @pytest.fixture
+    def cache_off(self):
+        previous = plancache.cache().enabled
+        plancache.configure(enabled=False)
+        yield
+        plancache.configure(enabled=previous)
+
+    # 16 steps pack (LPN, position) into uint32 sort codes; 160 steps
+    # need more than 32 bits at this geometry and take the int64 codes.
+    # The bound is peak traced bytes per planned 4 KiB request.
+    @pytest.mark.parametrize(
+        "steps,wide_codes,bound", [(16, False, 50), (160, True, 42)]
+    )
+    def test_peak_bytes_per_request(self, steps, wide_codes, bound, cache_off, monkeypatch):
+        device = build_device("emmc-8gb", scale=256, seed=3)
+        fs = Ext4Model(device)
+        workload = FileRewriteWorkload(
+            fs, num_files=4, request_bytes=4 * KIB, pattern="rand", seed=3
+        )
+        planned = []
+
+        def spy(ftl, segments, num_groups, stop_erases):
+            planned.append(sum(int(s.unit_lpns.size) for s in segments))
+            return plan_write_burst(ftl, segments, num_groups, stop_erases)
+
+        monkeypatch.setattr("repro.ftl.burst.plan_write_burst", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = workload.step_batch(steps, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+        assert out is not None and len(out[0]) == steps  # fused, whole window
+        (units,) = planned
+        pos_bits = (units - 1).bit_length()
+        assert (device.ftl.num_logical_units > 1 << (32 - pos_bits)) == wide_codes
+        requests = steps * workload.batch_requests
+        assert peak / requests < bound

@@ -8,7 +8,11 @@ Covers the two acceptance contracts (DESIGN.md §8):
   converges on the same final store.
 """
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -24,6 +28,59 @@ def bandwidth_campaign(name="bw", sizes=(4 * KIB, 64 * KIB), seeds=(1, 2)):
     return expand_grid(
         name, kind="bandwidth", devices=("emmc-8gb",), patterns=("rand",),
         request_sizes=sizes, seeds=seeds, scale=512,
+    )
+
+
+def checkpointed_grid():
+    """A 3-point wear-out ladder sharing one trajectory (warm-startable)."""
+    return CampaignSpec(
+        name="ladder",
+        points=[
+            PointSpec(kind="wearout", device="emmc-8gb", scale=512, seed=7,
+                      filesystem="ext4", until_level=level)
+            for level in (1, 2, 3)
+        ],
+        base_seed=1,
+    )
+
+
+# Runs checkpointed_grid() serially into a store; with "kill", the
+# process dies (os._exit: no cleanup, no flush beyond what append did)
+# right after its second append.  Prints the run's report otherwise.
+_CAMPAIGN_CHILD = textwrap.dedent("""
+    import json, os, sys
+    from repro.campaign.runner import CampaignRunner
+    from repro.campaign.store import ResultStore
+    from tests.test_campaign_runner import KILLED, checkpointed_grid
+
+    store_path, checkpoint_dir, mode = sys.argv[1:4]
+    if mode == "kill":
+        append = ResultStore.append
+        appended = []
+
+        def append_then_die(self, record):
+            append(self, record)
+            appended.append(record["key"])
+            if len(appended) == 2:
+                os._exit(KILLED)
+
+        ResultStore.append = append_then_die
+    runner = CampaignRunner(
+        checkpointed_grid(), ResultStore(store_path), checkpoint_dir=checkpoint_dir
+    )
+    report = runner.run(workers=1)
+    print(json.dumps({"ran": report.ran, "skipped": report.skipped}))
+""")
+
+#: Exit status of the killed campaign child.
+KILLED = 75
+
+
+def _campaign_child(store_path, checkpoint_dir, mode):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    return subprocess.run(
+        [sys.executable, "-c", _CAMPAIGN_CHILD, str(store_path), str(checkpoint_dir), mode],
+        env=env, capture_output=True, text=True, timeout=600,
     )
 
 
@@ -141,6 +198,25 @@ class TestResume:
         reference = ResultStore(None)
         CampaignRunner(spec, reference).run(workers=1)
         assert ResultStore(path).canonical_bytes() == reference.canonical_bytes()
+
+    def test_killed_campaign_resumes_missing_point_only(self, tmp_path):
+        """A campaign process killed right after its second append
+        leaves a store that a fresh process resumes by running only the
+        third point, and the result equals an uninterrupted run."""
+        store_path = tmp_path / "store.jsonl"
+        checkpoints = tmp_path / "ck"
+
+        killed = _campaign_child(store_path, checkpoints, "kill")
+        assert killed.returncode == KILLED, killed.stderr
+        assert len(ResultStore(store_path)) == 2
+
+        resumed = _campaign_child(store_path, checkpoints, "resume")
+        assert resumed.returncode == 0, resumed.stderr
+        assert json.loads(resumed.stdout.splitlines()[-1]) == {"ran": 1, "skipped": 2}
+
+        reference = ResultStore(None)
+        CampaignRunner(checkpointed_grid(), reference).run(workers=1)
+        assert ResultStore(store_path).fingerprint() == reference.fingerprint()
 
     def test_fully_complete_campaign_reruns_nothing(self):
         spec = bandwidth_campaign()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.experiment import WearOutExperiment
 from repro.fleet import (
     CohortResult,
     CohortSpec,
@@ -110,6 +111,48 @@ class TestDemotionHeavyPlanSharing:
         # carries none, so fingerprints stay worker-count invariant.
         assert "plan_stats" not in cohort.to_dict()
         assert CohortResult.from_dict(cohort.to_dict()).plan_stats is None
+
+
+class TestWindowSizeIndependence:
+    """Member results do not depend on the fused window cap.
+
+    The cohort record's ``advances`` does: it counts leader advances,
+    one per fused window or scalar step, so a smaller
+    ``max_batch_steps`` records more of them (DESIGN.md §12).
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CohortSpec(device="emmc-8gb", population=3, scale=512,
+                       pattern="rand", until_level=3),
+            CohortSpec(device="emmc-8gb", population=3, scale=512,
+                       pattern="seq", request_bytes=4 * KIB,
+                       until_level=4, endurance_sigma=0.5),
+        ],
+        ids=["rand", "seq"],
+    )
+    def test_member_results_ignore_max_batch_steps(self, spec, monkeypatch):
+        seed = resolve_cohort_seed(spec, BASE_SEED)
+        plancache.clear()
+        default = run_cohort(spec, seed)
+
+        init = WearOutExperiment.__init__
+
+        def small_windows(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.max_batch_steps = 64
+
+        monkeypatch.setattr(WearOutExperiment, "__init__", small_windows)
+        plancache.clear()
+        small = run_cohort(spec, seed)
+        plancache.clear()
+
+        for index in range(spec.population):
+            assert result_json(small.member_result(index)) == result_json(
+                default.member_result(index)
+            ), f"member {index} depends on the window cap"
+        assert small.advances > default.advances  # advances count windows
 
 
 class TestCohortResultRecord:
